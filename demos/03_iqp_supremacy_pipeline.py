@@ -7,8 +7,6 @@ between certifying the preparation and sampling its projected output, and the
 certified trace-norm bound is chased through the 2/c projection contraction
 against the 1/192 hardness threshold.
 """
-import dataclasses
-
 import numpy as np
 
 import ffcert as fc
@@ -32,15 +30,13 @@ print(f"p(0...0) = {dist[0]:.6f} = ngap^2 = {fc.ngap(poly) ** 2:.6f}")
 
 cert_plan = fc.plan(0.9, 0.05, 0.05, inst.summary, inst.hamiltonian.n_terms,
                     inst.hamiltonian.interaction_strength)
-print(f"\nfull-rigor shot count m = {cert_plan.shots_per_term:.3e} per term")
-demo_plan = dataclasses.replace(cert_plan, shots_per_term=2000)
-print(f"demo runs use {demo_plan.shots_per_term} shots per term instead "
-      "(statistics shrink, machinery is identical)")
+print(f"\nfull-rigor shot count m = {cert_plan.shots_per_term:.3e} per term "
+      "(one multinomial count draw per term, so no cap is needed)")
 
 rho = history_preparation(inst)
 print("\n=== Coin-flip runs on the ideal preparation ===")
 for seed in range(6):
-    out = fc.run_procedure(inst, rho, demo_plan, coin_seed=seed, shots=4000)
+    out = fc.run_procedure(inst, rho, cert_plan, coin_seed=seed, shots=4000)
     if out.branch == "certify":
         r = out.report
         print(f"seed {seed}: certify -> {r.verdict}, E* = {r.e_star:.4f}, "
@@ -68,4 +64,4 @@ for eps_prep in (0.0, 1e-3, 1 / 192):
 # inverse-polynomial precision.
 eps_needed = (inst.completed_weight / 768) ** 2
 print(f"\nclearing 1/192 through the certificate needs eps < {eps_needed:.2e} "
-      f"(demo used eps = {demo_plan.epsilon})")
+      f"(demo used eps = {cert_plan.epsilon})")

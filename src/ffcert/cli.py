@@ -5,12 +5,13 @@ Subcommands mirror the library layers: ``ham`` (build/analyze/verify-ff),
 (gen/gap/encode/supremacy) and ``sample``.  Every run emits a JSON document
 that echoes its own configuration, so reports regenerate byte-identically
 from the echo.  Exit codes: 0 success, 1 domain error (JSON on stderr),
-2 usage error.
+2 usage error (JSON on stderr for out-of-range counts and thread settings).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -27,10 +28,29 @@ from .rand import RNG_ID, SEED_DERIVATION_ID, derive_seed
 THREADS_ENV = "FFCERT_THREADS"
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported as JSON on stderr with exit code 2."""
+
+
+def _positive_int(text: str, name: str) -> int:
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _positive(flag: str):
+    """argparse ``type`` for a flag that takes a positive integer."""
+    return functools.partial(_positive_int, name=flag)
+
+
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         return args.threads
-    return int(os.environ.get(THREADS_ENV, "1"))
+    return _positive_int(os.environ.get(THREADS_ENV, "1"), THREADS_ENV)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -359,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--state", required=True)
     cm.add_argument("--plan", required=True)
     cm.add_argument("--seed", type=int, required=True)
-    cm.add_argument("--reps", type=int, required=True)
-    cm.add_argument("--threads", type=int, default=None)
+    cm.add_argument("--reps", type=_positive("--reps"), required=True)
+    cm.add_argument("--threads", type=_positive("--threads"), default=None)
     cm.add_argument("--csv", default=None)
     cm.add_argument("-o", "--out")
     _add_budget(cm)
@@ -389,10 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     isup.add_argument("--alpha", type=float, required=True)
     isup.add_argument("--eps", type=float, required=True)
     isup.add_argument("--seed", type=int, required=True)
-    isup.add_argument("--shots", type=int, default=1000)
+    isup.add_argument("--shots", type=_positive("--shots"), default=1000)
     isup.add_argument("--pad", type=int, default=None,
                       help="identity padding (default: circuit length)")
-    isup.add_argument("--max-shots", type=int, default=None, dest="max_shots",
+    isup.add_argument("--max-shots", type=_positive("--max-shots"), default=None,
+                      dest="max_shots",
                       help="cap the per-term shot count (voids the certification guarantee)")
     isup.add_argument("--state", default=None,
                       help="prepared-state file (default: ideal history state)")
@@ -403,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm = sub.add_parser("sample", help="measurement records for every term, as CSV")
     sm.add_argument("--ham", required=True)
     sm.add_argument("--state", required=True)
-    sm.add_argument("--shots", type=int, required=True)
+    sm.add_argument("--shots", type=_positive("--shots"), required=True)
     sm.add_argument("--seed", type=int, required=True)
     sm.add_argument("-o", "--out")
     _add_budget(sm)
@@ -412,13 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _report_error(exc: Exception) -> None:
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        _report_error(exc)
+        return 2
     except (FFCertError, OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        _report_error(exc)
         return 1
 
 

@@ -8,6 +8,7 @@ space, which is everything the certification layer consumes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ DENSE_CUTOFF = 512
 DENSE_FALLBACK_MAX = 4096
 
 HERMITICITY_TOL = 1e-12
+# Eigenvalues of a term within this fraction of max(1, |w|_max) of the first
+# eigenvalue of their run are one measurement outcome.
+TERM_MERGE_TOL = 1e-10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -97,6 +101,65 @@ class LocalTerm:
     def norm(self) -> float:
         """Spectral norm of the term matrix."""
         return float(np.linalg.norm(self.matrix, 2))
+
+    @functools.cached_property
+    def spectrum(self) -> TermSpectrum:
+        """Measurement levels of the term, computed on first use and kept.
+
+        The term is frozen and its matrix read-only, so one ``eigh`` serves
+        every later measurement of it.
+        """
+        return TermSpectrum.of(self.matrix)
+
+
+@dataclass(frozen=True)
+class TermSpectrum:
+    """Distinct eigenvalues of a term with the eigenvectors of each level.
+
+    ``values`` ascend.  Columns of ``basis`` are orthonormal eigenvectors of
+    every level except the most degenerate one, ``dominant``; ``owner`` maps
+    each column to its level.  The dominant projector is the identity minus
+    the others, so a rank-r projector term costs O(d r) memory, not O(d^2).
+    """
+
+    values: np.ndarray
+    basis: np.ndarray  # d x R
+    owner: np.ndarray  # R level indices
+    dominant: int
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> TermSpectrum:
+        w, v = np.linalg.eigh(matrix)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        starts = [0]
+        for i in range(1, len(w)):
+            if w[i] - w[starts[-1]] > TERM_MERGE_TOL * scale:
+                starts.append(i)
+        level = np.repeat(np.arange(len(starts)), np.diff(starts + [len(w)]))
+        values = np.array([np.mean(run) for run in np.split(w, starts[1:])])
+        values.setflags(write=False)
+        dominant = int(np.argmax(np.bincount(level)))
+        keep = level != dominant
+        return cls(values, _as_readonly(v[:, keep]), level[keep], dominant)
+
+    def weights(self, red: np.ndarray) -> np.ndarray:
+        """Tr(red P_e) per level; the dominant level takes Tr(red) minus the rest."""
+        per_column = np.einsum("ij,ij->j", self.basis.conj(), red @ self.basis).real
+        out = np.zeros(len(self.values))
+        np.add.at(out, self.owner, per_column)
+        out[self.dominant] = float(np.trace(red).real) - out.sum()
+        return out
+
+    def projectors(self) -> list[np.ndarray]:
+        """One projector per level; together they resolve the identity."""
+        rest = np.eye(self.basis.shape[0], dtype=complex)
+        out: list[np.ndarray] = []
+        for e in range(len(self.values)):
+            block = self.basis[:, self.owner == e]
+            out.append(block @ block.conj().T)
+            rest -= out[-1]
+        out[self.dominant] = rest
+        return out
 
 
 @dataclass(frozen=True)
@@ -318,21 +381,12 @@ def verify_frustration_free(h: LocalHamiltonian, summary: SpectralSummary,
     return FFVerdict(ok, ham_res, tuple(residuals), tol)
 
 
-def term_eigendecomposition(term: LocalTerm, merge_tol: float = 1e-10
-                            ) -> list[tuple[float, np.ndarray]]:
+def term_eigendecomposition(term: LocalTerm) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues and eigenprojectors of a term, near-degenerate levels merged.
 
     The projectors resolve the identity on the term's support and reconstruct
-    the matrix; they define the measurement outcomes for energy sampling.
+    the matrix; they are the measurement outcomes of :mod:`ffcert.sampling`.
+    Built from the term's cached :attr:`LocalTerm.spectrum`.
     """
-    w, v = np.linalg.eigh(term.matrix)
-    scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
-    out: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > merge_tol * scale:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            out.append((float(np.mean(w[start:i])), proj))
-            start = i
-    return out
+    spec = term.spectrum
+    return [(float(e), p) for e, p in zip(spec.values, spec.projectors())]

@@ -12,7 +12,8 @@ import hashlib
 import numpy as np
 
 # Identifiers recorded in reports so a run can name its generator exactly.
-RNG_ID = "philox4x64"
+# The suffix names the draw: one multinomial count vector per measured term.
+RNG_ID = "philox4x64-multinomial"
 SEED_DERIVATION_ID = "sha256[:8]"
 
 

@@ -1,9 +1,11 @@
 """Finite-statistics measurement of local Hamiltonian terms.
 
 Each shot measures one term in its eigenbasis on a fresh copy of the state:
-outcome e with probability Tr(rho_reduced P_e).  Streams are keyed by
-(seed, term_index), so per-term sampling is order-independent and the whole
-record set is reproducible byte for byte.
+outcome e with probability Tr(rho_reduced P_e).  Shots are i.i.d., so the
+outcome counts of m shots are one multinomial draw; every entry point below
+draws those counts once per term and derives means or per-shot records from
+them.  Streams are keyed by (seed, term_index), so per-term sampling is
+order-independent and reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -12,11 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, MissingTerm, ProbabilityLeak
-from .operators import LocalHamiltonian, LocalTerm, SiteSystem, term_eigendecomposition
+from .operators import LocalHamiltonian, LocalTerm, SiteSystem
 from .rand import stream_rng
 from .states import PreparedState
 
 PROBABILITY_TOL = 1e-8
+# Largest shot count one multinomial call accepts; larger counts are drawn
+# in chunks of this size, which is exact because multinomial draws add.
+MAX_DRAW = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -41,23 +46,36 @@ def outcome_distribution(rho: PreparedState, system: SiteSystem, term: LocalTerm
     """Eigenvalues of the term and their measurement probabilities on rho."""
     keep = tuple(system.index(s) for s in term.support)
     red = rho.reduced_density_matrix(system.dims, keep)
-    eigs = term_eigendecomposition(term)
-    values = np.array([e for e, _ in eigs])
-    probs = np.array([float(np.real(np.trace(red @ proj))) for _, proj in eigs])
-    leak = abs(probs.sum() - 1.0)
-    if leak > PROBABILITY_TOL:
+    leak = float(np.trace(red).real) - 1.0
+    if abs(leak) > PROBABILITY_TOL:
         raise ProbabilityLeak(f"outcome probabilities sum to 1 {leak:+.2e}")
-    probs = np.clip(probs, 0.0, None)
-    return values, probs / probs.sum()
+    probs = np.clip(term.spectrum.weights(red), 0.0, None)
+    return term.spectrum.values, probs / probs.sum()
+
+
+def draw_counts(rng: np.random.Generator, shots: int, probs: np.ndarray) -> np.ndarray:
+    """Outcome counts of ``shots`` i.i.d. draws from ``probs``; they sum to ``shots``.
+
+    Counts above the int64 range come back as Python integers.
+    """
+    shots = int(shots)
+    if shots < 1:
+        raise InvalidParameter(f"shot count {shots} must be >= 1")
+    if shots <= MAX_DRAW:
+        return rng.multinomial(shots, probs)
+    counts = np.zeros(len(probs), dtype=object)
+    for done in range(0, shots, MAX_DRAW):
+        counts += rng.multinomial(min(MAX_DRAW, shots - done), probs).astype(object)
+    return counts
 
 
 def sample_outcomes(rho: PreparedState, system: SiteSystem, term: LocalTerm,
                     shots: int, seed: int, term_index: int = 0) -> np.ndarray:
-    """i.i.d. eigenvalue draws for one term; deterministic given (seed, term_index)."""
+    """Per-shot outcomes for one term: its counts in a random order drawn from
+    the same stream; deterministic given (seed, term_index)."""
     values, probs = outcome_distribution(rho, system, term)
     rng = stream_rng(seed, term_index)
-    picks = rng.choice(len(values), size=int(shots), p=probs)
-    return values[picks]
+    return rng.permutation(np.repeat(values, draw_counts(rng, shots, probs)))
 
 
 def sample_term(rho: PreparedState, system: SiteSystem, term: LocalTerm,
@@ -69,10 +87,13 @@ def sample_term(rho: PreparedState, system: SiteSystem, term: LocalTerm,
 
 def term_sample_means(rho: PreparedState, h: LocalHamiltonian, shots: int,
                       seed: int) -> np.ndarray:
-    """Per-term sample means without materializing record objects."""
+    """Per-term sample means from the counts alone; any shot count up to
+    arbitrary size costs one multinomial draw per term (per int64 chunk)."""
     means = np.empty(h.n_terms)
     for idx, term in enumerate(h.terms):
-        means[idx] = float(sample_outcomes(rho, h.system, term, shots, seed, idx).mean())
+        values, probs = outcome_distribution(rho, h.system, term)
+        counts = draw_counts(stream_rng(seed, idx), shots, probs)
+        means[idx] = float(counts @ values) / int(shots)
     return means
 
 

@@ -78,6 +78,22 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def term_levels_oracle(matrix: np.ndarray, merge_tol: float = 1e-10
+                       ) -> list[tuple[float, np.ndarray]]:
+    """Fresh eigh, runs within merge_tol * max(1, |w|_max) of their first
+    eigenvalue merged, one explicit projector per level."""
+    w, v = np.linalg.eigh(matrix)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    out = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[start] > merge_tol * scale:
+            block = v[:, start:i]
+            out.append((float(np.mean(w[start:i])), block @ block.conj().T))
+            start = i
+    return out
+
+
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(a)

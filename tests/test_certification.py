@@ -5,6 +5,7 @@ import pytest
 
 import ffcert as fc
 from ffcert.certification import sample_bound, supplied_gap_summary
+from ffcert.supremacy import history_preparation
 from helpers import (
     P1,
     engineered_fidelity_state,
@@ -171,6 +172,30 @@ def test_certify_reproducible(fixture_3q):
     rho = fc.apply_noise(fc.PreparedState.from_pure(s.ground_vector()),
                          fc.NoiseSpec.depolarizing(0.3))
     assert fc.certify(h, s, rho, cert_plan, seed=4) == fc.certify(h, s, rho, cert_plan, seed=4)
+
+
+def test_certify_at_planned_shot_count_on_iqp_clock():
+    # the planned m (about 6e12 per term here), with no cap
+    poly = fc.IQPPolynomial.make(3, cubic=[(1, 2, 3)], quadratic=[(1, 2)], linear=[3])
+    inst = fc.build_instance(poly, padding=fc.decompose_ccz(fc.encode_iqp(poly)).length)
+    h = inst.hamiltonian
+    cert_plan = fc.plan(0.9, 0.05, 0.05, inst.summary, h.n_terms, h.interaction_strength)
+    assert cert_plan.shots_per_term > 10**12
+    ideal = history_preparation(inst)
+    assert all(fc.certify(h, inst.summary, ideal, cert_plan, seed).accepted
+               for seed in range(3))
+
+    noisy = fc.apply_noise(ideal, fc.NoiseSpec.depolarizing(0.01))
+    seeds = range(4)
+    mean = np.mean([fc.certify(h, inst.summary, noisy, cert_plan, seed).e_star_raw
+                    for seed in seeds])
+    # Hoeffding per term over len(seeds) * m outcomes, union bound at 1e-9
+    samples = len(seeds) * cert_plan.shots_per_term
+    width = math.sqrt(math.log(2 * h.n_terms / 1e-9) / (2 * samples))
+    tol = width * sum(float(np.ptp(t.spectrum.values)) for t in h.terms)
+    exact = fc.expected_energy(noisy, h)
+    assert tol < 1e-2 * exact
+    assert abs(mean - exact) <= tol
 
 
 def test_delta_bound_sanity_over_random_plans():

@@ -142,7 +142,7 @@ def test_cli_certify_plan_run_montecarlo(workdir, capsys):
     report = json.loads(report_file.read_text())
     assert report["verdict"] in ("accept", "reject")
     assert report["config"]["seed"] == 7
-    assert report["rng"] == "philox4x64"
+    assert report["rng"] == "philox4x64-multinomial"
 
     csv_file = tmp / "mc.csv"
     assert main(["certify", "montecarlo", "--ham", str(ham), "--state", str(state),
@@ -298,6 +298,48 @@ def test_cli_usage_error_exit_code_2(capsys):
         main(["certify", "plan", "--no-such-flag", "1"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def _montecarlo_argv(tmp, ham, state):
+    plan_file = tmp / "plan.json"
+    main(["certify", "plan", "--ft", "0.8", "--alpha", "0.1", "--eps", "0.05",
+          "--ham", str(ham), "-o", str(plan_file)])
+    return ["certify", "montecarlo", "--ham", str(ham), "--state", str(state),
+            "--plan", str(plan_file), "--seed", "3"]
+
+
+def _assert_usage_error(capsys, argv, name):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "UsageError"
+    assert name in err["message"]
+
+
+def test_cli_montecarlo_zero_reps_is_usage_error(workdir, capsys):
+    argv = _montecarlo_argv(*workdir)
+    _assert_usage_error(capsys, argv + ["--reps", "0"], "--reps")
+
+
+def test_cli_montecarlo_negative_reps_is_usage_error(workdir, capsys):
+    argv = _montecarlo_argv(*workdir)
+    _assert_usage_error(capsys, argv + ["--reps", "-1"], "--reps")
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", "0", "-2"])
+def test_cli_bad_threads_env_is_usage_error(workdir, capsys, monkeypatch, value):
+    argv = _montecarlo_argv(*workdir)
+    monkeypatch.setenv("FFCERT_THREADS", value)
+    _assert_usage_error(capsys, argv + ["--reps", "2"], "FFCERT_THREADS")
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_cli_sample_nonpositive_shots_is_usage_error(workdir, capsys, shots):
+    _, ham, state = workdir
+    _assert_usage_error(capsys, ["sample", "--ham", str(ham), "--state", str(state),
+                                 "--shots", shots, "--seed", "2"], "--shots")
 
 
 def test_cli_reports_regenerate_byte_identically(workdir):

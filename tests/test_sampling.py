@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 import ffcert as fc
-from ffcert.sampling import outcome_distribution, term_sample_means
-from helpers import Z, three_qubit_fixture
+from ffcert.rand import stream_rng
+from ffcert.sampling import draw_counts, outcome_distribution, term_sample_means
+from helpers import (
+    Z,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    term_levels_oracle,
+    three_qubit_fixture,
+)
 
 
 def test_ground_state_of_projector_gives_constant_outcomes():
@@ -170,3 +178,81 @@ def test_probability_leak_guard():
     broken = fc.PreparedState(((1.0, LeakyAtom(2)),))
     with pytest.raises(fc.ProbabilityLeak):
         fc.sample_term(broken, system, term, shots=10, seed=0)
+
+
+def _spectrum_cases():
+    rng = np.random.default_rng(12)
+    u = random_unitary(rng, 6)
+    # scale 2: gaps of 0.9e-10 * scale merge, 1.1e-10 * scale do not
+    near = np.array([-2.0, -2.0 + 1.8e-10, 0.5, 0.5 + 2.2e-10, 1.0, 1.0])
+    rank2 = np.diag([0.0] * 6 + [1.0] * 2).astype(complex)
+    w8 = random_unitary(rng, 8)
+    return [
+        pytest.param(random_hermitian(rng, 5), 5, id="random"),
+        pytest.param((u * near) @ u.conj().T, 4, id="near-degenerate"),
+        pytest.param(w8 @ rank2 @ w8.conj().T, 2, id="rotated rank-2 projector"),
+        pytest.param(3.0 * np.eye(4, dtype=complex), 1, id="scalar"),
+    ]
+
+
+@pytest.mark.parametrize("matrix,n_levels", _spectrum_cases())
+def test_cached_spectrum_matches_fresh_eigendecomposition(matrix, n_levels):
+    d = matrix.shape[0]
+    system = fc.SiteSystem(("s",), (d,))
+    term = fc.LocalTerm(("s",), matrix)
+    reference = term_levels_oracle(term.matrix)
+    assert len(reference) == n_levels
+    assert len(term.spectrum.values) == n_levels
+    assert term.spectrum.values == pytest.approx([e for e, _ in reference], abs=1e-14)
+
+    decomp = fc.term_eigendecomposition(term)
+    for (e, p), (e_ref, p_ref) in zip(decomp, reference):
+        assert e == e_ref
+        assert np.max(np.abs(p - p_ref)) <= 1e-12
+
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        red = random_density(rng, d)
+        values, probs = outcome_distribution(fc.PreparedState.from_dense(red), system, term)
+        assert np.array_equal(values, term.spectrum.values)
+        seed_formula = [float(np.real(np.trace(red @ p))) for _, p in reference]
+        assert probs == pytest.approx(seed_formula, abs=1e-12)
+
+
+def test_term_eigh_runs_once_per_term(monkeypatch):
+    h, s = three_qubit_fixture()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rho = fc.apply_noise(fc.PreparedState.from_pure(s.ground_vector()),
+                         fc.NoiseSpec.depolarizing(0.3))
+    for seed in range(3):
+        term_sample_means(rho, h, shots=100, seed=seed)
+        fc.sample_hamiltonian(rho, h, shots=10, seed=seed)
+    for term in h.terms:
+        fc.term_eigendecomposition(term)
+    assert len(calls) == h.n_terms
+
+
+def test_huge_shot_counts_draw_in_exact_chunks():
+    m = 2**64 + 3
+    counts = draw_counts(stream_rng(4, 0), m, np.array([0.25, 0.5, 0.25]))
+    assert sum(int(c) for c in counts) == m
+    assert all(c >= 0 for c in counts)
+
+    h, s = three_qubit_fixture()
+    rho = fc.apply_noise(fc.PreparedState.from_pure(s.ground_vector()),
+                         fc.NoiseSpec.depolarizing(0.5))
+    means = term_sample_means(rho, h, shots=m, seed=6)
+    assert np.all(np.isfinite(means))
+    assert np.all((means >= 0.0) & (means <= 1.0))
+
+
+def test_draw_counts_rejects_nonpositive_shots():
+    with pytest.raises(fc.InvalidParameter):
+        draw_counts(stream_rng(0, 0), 0, np.array([1.0]))
